@@ -13,6 +13,7 @@ stand-ins and returns its formatted text (also printed and saved under
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -35,6 +36,8 @@ from repro.obs.events import default_tracer
 from repro.training import TrainerConfig
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 ALL_DATASETS = ("music", "book", "movie", "restaurant")
 
@@ -182,8 +185,24 @@ from repro.training.experiment import ComparisonResult, TrialRecord
 TOPK_GRID = (1, 5, 10, 20, 50, 100)
 
 
+def src_fingerprint() -> str:
+    """sha256 over every ``*.py`` under ``src/`` (relative path + bytes).
+
+    Part of every cache key, so results trained by other code are never
+    reused.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        digest.update(str(path.relative_to(SRC_DIR)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def _cache_path(dataset_name: str) -> Path:
-    key = f"{dataset_name}_s{n_seeds()}_e{n_epochs()}_p{patience()}_u{eval_users()}"
+    key = (
+        f"{dataset_name}_s{n_seeds()}_e{n_epochs()}_p{patience()}"
+        f"_u{eval_users()}_{src_fingerprint()}"
+    )
     cache_dir = RESULTS_DIR / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
     return cache_dir / f"{key}.json"
@@ -294,7 +313,7 @@ def cached_comparison(
     epochs = ablation_epochs()
     key = (
         f"{prefix}_{dataset_name}_s{seeds}_e{epochs}"
-        f"_p{patience()}_u{eval_users()}"
+        f"_p{patience()}_u{eval_users()}_{src_fingerprint()}"
     )
     cache_dir = RESULTS_DIR / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)

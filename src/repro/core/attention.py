@@ -11,11 +11,15 @@ Two mechanisms, both multi-head (H heads averaged, Eq. 4):
   19): ``ω = v_h^T (f ⊙ M_r) v_t`` where the guidance signal ``f``
   (``R^d``) gates the rows of the relation matrix ``M_r``.  Using
   ``(f ⊙ M_r)[p, q] = f_p · M_r[p, q]`` the score factorizes as
-  ``ω = Σ_p (f_p v_{h,p}) (M_r v_t)_p``, so we pre-transform the *whole
-  entity table* by every relation once per forward pass
-  (``T[n, r, h] = M_r^h v_n``) and then gather per edge — attention at
-  every hop uses the entities' original embeddings (Eq. 19), so one table
-  serves all hops.
+  ``ω = Σ_p (f_p v_{h,p}) (M_r v_t)_p``.  The training path projects
+  only the batch's *unique* (tail, relation) pairs (``M_r^h v_t``, one
+  small GEMM per relation present) and gathers the projections per edge,
+  so per-batch cost follows the sampled edges, not the catalogue; the
+  tails are read through ``gather_rows`` and the entity table keeps a
+  row-sparse gradient.  Introspection instead pre-transforms the whole
+  table once (``T[n, r, h] = M_r^h v_n``, ``transform_entity_table``).
+  Attention at every hop uses the entities' original embeddings (Eq. 19),
+  so either form serves all hops.
 
 Masked slots (padded neighbors) receive exactly zero weight via
 :func:`~repro.autograd.ops.masked_softmax`; the ``uniform`` flag replaces
@@ -27,6 +31,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.autograd import init, ops
 from repro.autograd.nn import Module, Parameter
@@ -64,11 +69,26 @@ def _scratch(name: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return buf
 
 
+def _unique_keys(key: np.ndarray, n_keys: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(key, return_inverse=True)`` for keys in ``[0, n_keys)``.
+
+    When the key space is at most a few times the number of keys (a small
+    catalogue, a large evaluation batch), marking a presence table costs
+    O(keys) and beats the sort; both give the same sorted keys and inverse.
+    """
+    if n_keys > 4 * key.size:
+        uniq, inverse = np.unique(key, return_inverse=True)
+        return uniq, inverse.reshape(-1)
+    seen = np.zeros(n_keys, dtype=bool)
+    seen[key] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[key]
+
+
 def _guided_relation_scores(
     head_source: Tensor,
     guidance: Optional[Tensor],
     relation_matrices: Tensor,
-    entity_table: Tensor,
+    tail_rows: Tensor,
     entities: np.ndarray,
     relations: np.ndarray,
     group_size: int,
@@ -76,36 +96,49 @@ def _guided_relation_scores(
     """Fused ``ω[b,h,w,k] = Σ_pq (f_b ⊙ v_{head_{bw}})_p M^h_{r}[p,q] v_{t,q}``.
 
     Semantically identical to gate + ``_repeat_children`` +
-    ``transform_entity_table`` + per-edge gather + einsum, but built to the
-    problem's actual scales: the guidance gate and the score contraction run
-    on the (B·W) *parents* instead of the (B·W·K) edges (each parent's gated
-    vector is shared by its K children), and the per-(tail, relation)
-    projections come from one small GEMM over the entity table
-    (``pt[n, r, h] = M_r^h v_n``) followed by a single row gather.  The
-    adjoint reduces the edge-level outer products back onto ``pt`` with one
-    flattened ``bincount`` and finishes with two table-sized GEMMs.
+    ``transform_entity_table`` + per-edge gather + einsum, but sized by the
+    batch.  ``tail_rows`` holds each edge's tail embedding (a row gather of
+    the entity table).  The op deduplicates the edges' (tail, relation)
+    pairs, projects each unique pair once with one ``(rows, d) @ (d, H·d)``
+    GEMM per relation present (``pt[u, h] = M_r^h v_u``) and gathers the
+    projections back per edge; the guidance gate and the score contraction
+    run on the (B·W) *parents* (each parent's gated vector is shared by its
+    K children).  The adjoint reduces the edge-level outer products onto the
+    pairs with one sparse one-hot product and finishes with the same
+    per-relation GEMMs; each pair's row gradient goes to one of its edges.
     """
     batch, width, dim = head_source.shape
     n_relations, n_heads, _, _ = relation_matrices.shape
-    ent_flat = entities.reshape(-1)
-    rel_flat = relations.reshape(-1)
     n_parents = batch * width
-    total = ent_flat.size  # B * W * K
-    n_entities = entity_table.shape[0]
     cols = n_heads * dim
-
-    if entity_table._refresh_hook is not None:
-        # The projection GEMM reads the whole table, not a gathered subset.
-        entity_table._refresh_hook(np.arange(n_entities))
-
-    # pt[(n, r), (h, p)] = (M_r^h v_n)_p for every (entity, relation) pair;
-    # with the small tables this repo trains, one (n, d) x (d, R·H·d) GEMM
-    # is cheaper than touching the (B·W·K) edges per relation.
+    ent = entities.reshape(-1)
+    n_edges = ent.size
+    # Relation-major key: the sorted unique pairs come grouped by relation.
+    stride = int(ent.max()) + 1
+    pairs, inverse = _unique_keys(
+        relations.reshape(-1) * stride + ent, n_relations * stride
+    )
+    n_pairs = pairs.size
+    bounds = np.searchsorted(pairs, np.arange(n_relations + 1) * stride)
+    # (r, lo, hi) for every relation present in the batch.
+    segments = [
+        (r, int(bounds[r]), int(bounds[r + 1]))
+        for r in np.flatnonzero(bounds[1:] > bounds[:-1])
+    ]
+    edge_of = np.empty(n_pairs, dtype=np.int64)  # one edge per pair
+    edge_of[inverse] = np.arange(n_edges)
+    rows = tail_rows.data.reshape(n_edges, dim)[edge_of]
     m_data = relation_matrices.data
-    w_flat = m_data.transpose(3, 0, 1, 2).reshape(dim, n_relations * cols)
-    pt = (entity_table.data @ w_flat).reshape(n_entities * n_relations, cols)
-    comp = ent_flat * n_relations + rel_flat  # composite (tail, relation) id
-    gathered = pt[comp].reshape(n_parents, group_size * n_heads, dim)
+    # m_rows[r][(h, p), q] = M_r^h[p, q]
+    m_rows = m_data.reshape(n_relations, cols, dim)
+
+    # pt[u, (h, p)] = (M_r^h v_u)_p for every unique (tail, relation) pair.
+    pt = np.empty((n_pairs, cols))
+    for r, lo, hi in segments:
+        np.matmul(rows[lo:hi], m_rows[r].T, out=pt[lo:hi])
+    gathered = np.take(pt, inverse, axis=0).reshape(
+        n_parents, group_size * n_heads, dim
+    )
 
     if guidance is None:
         gated = np.ascontiguousarray(head_source.data.reshape(n_parents, dim))
@@ -118,16 +151,19 @@ def _guided_relation_scores(
         raw.reshape(batch, width, group_size, n_heads).transpose(0, 3, 1, 2)
     )  # (B, H, W, K)
 
-    # The adjoints share g-derived intermediates; memoize per seed gradient
-    # object since backward calls each parent's fn separately.
+    # The adjoints share g-derived intermediates; backward calls each
+    # parent's fn separately, so memoize them per seed gradient.  The memo
+    # holds the seed itself (an ``is`` check cannot collide the way a
+    # recycled ``id`` can) and starts over for every new seed.
     memo = {}
 
     def shared(g):
-        if memo.get("key") != id(g):
+        if memo.get("seed") is not g:
+            memo.clear()
             g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(
                 n_parents, group_size * n_heads
             )
-            memo["key"] = id(g)
+            memo["seed"] = g
             memo["g2"] = g2
             # d_gated[x] = Σ_(k,h) g2[x,(k,h)] · pt_row[x,(k,h)]
             memo["d_gated"] = np.matmul(g2[:, None, :], gathered)[:, 0, :]
@@ -151,30 +187,41 @@ def _guided_relation_scores(
             g2 = mem["g2"]
             outer = _scratch("gs_outer", (n_parents, group_size * n_heads, dim))
             np.multiply(g2[:, :, None], gated[:, None, :], out=outer)
-            idx = _scratch("gs_idx", (total, cols), np.int64)
-            np.add(comp[:, None] * cols, np.arange(cols), out=idx)
-            mem["d_pt"] = np.bincount(
-                idx.ravel(), weights=outer.ravel(),
-                minlength=n_entities * n_relations * cols,
-            ).reshape(n_entities, n_relations * cols)
+            # Segment-sum of the edge rows onto their pairs as a one-hot
+            # (pairs × edges) CSR product: O(edges · H·d), in edge order.
+            onehot = sparse.csr_matrix(
+                (np.ones(n_edges), (inverse, np.arange(n_edges))),
+                shape=(n_pairs, n_edges),
+            )
+            mem["d_pt"] = onehot @ outer.reshape(n_edges, cols)
         return mem["d_pt"]
 
     def backward_relations(g):
-        # d_M[r,h,p,q] = Σ_n d_pt[n,(r,h,p)] v_{n,q}
-        grad = d_pt(g).T @ entity_table.data
+        # d_M[r,(h,p),q] = Σ_{u in r} d_pt[u,(h,p)] v_{u,q}
+        dpt = d_pt(g)
+        grad = np.zeros((n_relations, cols, dim))
+        for r, lo, hi in segments:
+            np.matmul(dpt[lo:hi].T, rows[lo:hi], out=grad[r])
         return grad.reshape(n_relations, n_heads, dim, dim)
 
-    def backward_entity(g):
-        # d_v[n,q] = Σ_(r,h,p) d_pt[n,(r,h,p)] M[r,h,p,q]
-        return d_pt(g) @ m_data.reshape(n_relations * cols, dim)
+    def backward_tails(g):
+        # d_v[u,q] = Σ_(h,p) d_pt[u,(h,p)] M_r[(h,p),q], placed on one of
+        # the pair's edges; the gather_rows adjoint sums it into the table.
+        dpt = d_pt(g)
+        d_rows = np.empty((n_pairs, dim))
+        for r, lo, hi in segments:
+            np.matmul(dpt[lo:hi], m_rows[r], out=d_rows[lo:hi])
+        grad = np.zeros((n_edges, dim))
+        grad[edge_of] = d_rows
+        return grad.reshape(tail_rows.shape)
 
     parents = [head_source]
     backwards = [backward_head]
     if guidance is not None:
         parents.append(guidance)
         backwards.append(backward_guidance)
-    parents += [relation_matrices, entity_table]
-    backwards += [backward_relations, backward_entity]
+    parents += [relation_matrices, tail_rows]
+    backwards += [backward_relations, backward_tails]
     return Tensor._make(out, tuple(parents), tuple(backwards), "relation_scores")
 
 
@@ -193,11 +240,12 @@ def _collab_scores(center: Tensor, relation_matrix: Tensor, neighbors: Tensor) -
     nb = neighbors.data
     out = np.matmul(t1, nb.transpose(0, 2, 1))  # (B, H, K)
 
-    memo = {}
+    memo = {}  # per seed gradient, as in _guided_relation_scores
 
     def d_t1(g):
-        if memo.get("key") != id(g):
-            memo["key"] = id(g)
+        if memo.get("seed") is not g:
+            memo.clear()
+            memo["seed"] = g
             memo["d_t1"] = np.matmul(g, nb)  # (B, H, e)
         return memo["d_t1"]
 
@@ -331,19 +379,26 @@ class KnowledgeAwareAttention(Module):
         self,
         head_source: Tensor,
         guidance: Optional[Tensor],
-        entity_table: Tensor,
+        tail_rows: Tensor,
         entities: np.ndarray,
         relations: np.ndarray,
         group_size: int,
     ) -> Tensor:
         """Hot-path equivalent of gate + repeat + :meth:`scores` working
-        straight off the *unrepeated* (B, W, d) parent heads and the entity
-        table via :func:`_guided_relation_scores`: (B, H, W, K)."""
+        straight off the *unrepeated* (B, W, d) parent heads: (B, H, W, K).
+
+        ``tail_rows`` are the (B, E, d) original embeddings of the edges'
+        tails, read from the entity table with
+        :func:`~repro.autograd.ops.gather_rows` (so the table receives a
+        row-sparse gradient and stays on the lazy sparse optimizer path).
+        Only the batch's unique (tail, relation) pairs are projected, see
+        :func:`_guided_relation_scores`.
+        """
         return _guided_relation_scores(
             head_source,
             guidance,
             self.relation_matrices,
-            entity_table,
+            tail_rows,
             entities,
             relations,
             group_size,
@@ -358,7 +413,7 @@ class KnowledgeAwareAttention(Module):
         mask: np.ndarray,
         group_size: int,
         uniform: bool = False,
-        entity_table: Optional[Tensor] = None,
+        tail_rows: Optional[Tensor] = None,
         entities: Optional[np.ndarray] = None,
         relations: Optional[np.ndarray] = None,
     ) -> Tensor:
@@ -375,7 +430,7 @@ class KnowledgeAwareAttention(Module):
 
         Scores come from ``transformed_tails`` (pre-transformed table rows,
         the introspection-friendly path) or, when it is ``None``, from the
-        fused ``entity_table``/``entities``/``relations`` inputs.
+        fused ``tail_rows``/``entities``/``relations`` inputs.
         """
         batch, n_edges, dim = child_values.shape
         width = n_edges // group_size
@@ -390,7 +445,7 @@ class KnowledgeAwareAttention(Module):
             raw = ops.reshape(raw, (batch, self.n_heads, width, group_size))
         else:
             raw = self.scores_fused(
-                head_source, guidance, entity_table, entities, relations,
+                head_source, guidance, tail_rows, entities, relations,
                 group_size,
             )  # (B, H, W, K)
         weights = ops.masked_softmax(raw, grouped_mask[:, None, :, :], axis=-1)

@@ -175,6 +175,9 @@ class CGKGR(Recommender):
         vectors: List[Tensor] = [ops.reshape(v_item, (batch, 1, cfg.dim))]
         for level in range(1, depth + 1):
             vectors.append(self.entity_embedding(flow.entities[level]))
+        # The fused attention scores each hop's tails by their original
+        # embeddings (Eq. 19), which the cascade below overwrites.
+        tails = list(vectors)
 
         # The fused relation-bucketed score path never materializes the
         # transformed entity table; observers need the per-edge gathers, so
@@ -224,7 +227,7 @@ class CGKGR(Recommender):
                         child_values,
                         mask,
                         k,
-                        entity_table=self.entity_embedding.weight,
+                        tail_rows=tails[level],
                         entities=flow.entities[level],
                         relations=flow.relations[level],
                     )

@@ -241,11 +241,26 @@ class TestCompositeGradients:
         assert gradcheck(fn, [head, guide])
 
 
+def _fused_scores(h, g, m, tab, entities, rels, k):
+    """``KnowledgeAwareAttention.scores_fused`` with ``m`` as its relation
+    matrices — the only way the model reaches the fused guided kernel."""
+    from repro.core.attention import KnowledgeAwareAttention
+
+    n_relations, n_heads, dim, _ = m.shape
+    attn = KnowledgeAwareAttention(
+        dim, n_heads, n_relations, np.random.default_rng(0)
+    )
+    attn.relation_matrices = m
+    tails = ops.gather_rows(tab, entities)
+    return attn.scores_fused(h, g, tails, entities, rels, k)
+
+
 class TestFusedAttentionGradients:
-    """Gradcheck the PR-4 fused attention kernels at edge shapes the
-    vectorized adjoints are most likely to get wrong: a single attention
-    head, a single-relation table, missing guidance, repeated tails, and
-    parents whose every child slot is masked out (zero degree)."""
+    """Gradcheck the fused attention kernels at edge shapes the vectorized
+    adjoints are most likely to get wrong: a single attention head, a
+    single-relation table, missing guidance, repeated tails, the same tail
+    under several relations, and parents whose every child slot is masked
+    out (zero degree)."""
 
     def _guided_inputs(self, rng, batch=2, width=2, k=2, dim=3, heads=2,
                        relations=2, n_entities=5):
@@ -258,14 +273,12 @@ class TestFusedAttentionGradients:
         return head, guidance, matrices, table, entities, rels, k
 
     def _check_guided(self, head, guidance, matrices, table, entities, rels, k):
-        from repro.core.attention import _guided_relation_scores
-
         if guidance is None:
-            fn = lambda h, m, tab: _guided_relation_scores(
+            fn = lambda h, m, tab: _fused_scores(
                 h, None, m, tab, entities, rels, k
             )
             return gradcheck(fn, [head, matrices, table])
-        fn = lambda h, g, m, tab: _guided_relation_scores(
+        fn = lambda h, g, m, tab: _fused_scores(
             h, g, m, tab, entities, rels, k
         )
         return gradcheck(fn, [head, guidance, matrices, table])
@@ -289,11 +302,24 @@ class TestFusedAttentionGradients:
         assert self._check_guided(head, None, matrices, table, entities, rels, k)
 
     def test_guided_scores_repeated_tails(self, rng):
-        """Every edge hits the same (tail, relation) row — the bincount
-        scatter in the adjoint must accumulate, not overwrite."""
+        """Every edge hits the same (tail, relation) pair — the segment
+        sum in the adjoint must accumulate, not overwrite."""
         head, guidance, matrices, table, _, _, k = self._guided_inputs(rng)
         entities = np.zeros((2, 4), dtype=np.int64)
         rels = np.ones((2, 4), dtype=np.int64)
+        assert self._check_guided(
+            head, guidance, matrices, table, entities, rels, k
+        )
+
+    def test_guided_scores_tail_under_several_relations(self, rng):
+        """One entity reached through every relation is several distinct
+        pairs but one table row: its gather_rows scatter receives duplicate
+        rows that must sum, plus repeated pairs within each relation."""
+        head, guidance, matrices, table, _, _, k = self._guided_inputs(
+            rng, relations=3
+        )
+        entities = np.array([[2, 2, 2, 4], [2, 2, 1, 2]])
+        rels = np.array([[0, 1, 2, 1], [2, 0, 0, 0]])
         assert self._check_guided(
             head, guidance, matrices, table, entities, rels, k
         )
@@ -302,7 +328,6 @@ class TestFusedAttentionGradients:
         """A parent with all children masked must pass zero gradient
         through its (uniform) softmax row, matching finite differences."""
         from repro.autograd import ops as aops
-        from repro.core.attention import _guided_relation_scores
 
         batch, width, k, dim = 2, 2, 2, 3
         head, guidance, matrices, table, entities, rels, _ = (
@@ -313,11 +338,58 @@ class TestFusedAttentionGradients:
         mask[1, 0, 1] = 0.0  # and a partially masked one
 
         def fn(h, g, m, tab):
-            raw = _guided_relation_scores(h, g, m, tab, entities, rels, k)
+            raw = _fused_scores(h, g, m, tab, entities, rels, k)
             weights = aops.masked_softmax(raw, mask[:, None, :, :], axis=-1)
             return aops.mean(weights, axis=1)
 
         assert gradcheck(fn, [head, guidance, matrices, table])
+
+    @pytest.mark.parametrize("guided", [True, False])
+    @pytest.mark.parametrize(
+        "shape", [(3, 2, 3, 4, 2, 3, 9), (2, 1, 4, 3, 1, 1, 4), (4, 3, 2, 5, 3, 6, 40)]
+    )
+    def test_fused_matches_unfused_reference(self, rng, shape, guided):
+        """scores_fused equals the transform-the-whole-table path the
+        attention observers use (transform_entity_table + index_select +
+        scores), in value and in every gradient."""
+        from repro.core.attention import KnowledgeAwareAttention, _repeat_children
+
+        batch, width, k, dim, heads, relations, n_entities = shape
+        head, guidance, matrices, table, entities, rels, _ = self._guided_inputs(
+            rng, batch=batch, width=width, k=k, dim=dim, heads=heads,
+            relations=relations, n_entities=n_entities,
+        )
+        guide = guidance if guided else None
+        seed = rng.normal(size=(batch, heads, width, k))
+        attn = KnowledgeAwareAttention(dim, heads, relations, rng)
+        attn.relation_matrices = matrices
+        inputs = [head, guidance, matrices, table]
+
+        def run(forward):
+            for x in inputs:
+                x.zero_grad()
+            out = forward()
+            out.backward(seed)
+            return out.data.copy(), [
+                None if x.grad is None else x.grad.copy() for x in inputs
+            ]
+
+        def reference():
+            transformed = attn.transform_entity_table(table)
+            tails = ops.index_select(transformed, (entities, rels))
+            heads_rep = _repeat_children(head, k)
+            raw = attn.scores(heads_rep, guide, tails)
+            return ops.reshape(raw, (batch, heads, width, k))
+
+        fused_out, fused_grads = run(
+            lambda: _fused_scores(head, guide, matrices, table, entities, rels, k)
+        )
+        ref_out, ref_grads = run(reference)
+        np.testing.assert_allclose(fused_out, ref_out, rtol=1e-10, atol=1e-12)
+        for got, want in zip(fused_grads, ref_grads):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_collab_scores_general(self, rng):
         from repro.core.attention import _collab_scores
@@ -342,6 +414,49 @@ class TestFusedAttentionGradients:
         matrix = t(rng, 2, 3, 3)
         neighbors = t(rng, 2, 1, 3)
         assert gradcheck(_collab_scores, [center, matrix, neighbors])
+
+
+class TestRepeatedBackward:
+    """The fused attention ops memoize adjoint intermediates shared by
+    their parents' backward fns.  A second ``backward()`` through the same
+    retained graph with a different seed must not reuse the first seed's
+    intermediates: each pass has to equal a fresh graph's gradients."""
+
+    def _guided(self, rng):
+        head, guidance, matrices, table = (
+            t(rng, 3, 2, 4), t(rng, 3, 4), t(rng, 3, 2, 4, 4), t(rng, 9, 4)
+        )
+        entities = rng.integers(0, 9, size=(3, 6))
+        rels = rng.integers(0, 3, size=(3, 6))
+        build = lambda: _fused_scores(
+            head, guidance, matrices, table, entities, rels, 3
+        )
+        return build, [head, guidance, matrices, table]
+
+    def _collab(self, rng):
+        from repro.core.attention import _collab_scores
+
+        center, matrix, neighbors = t(rng, 3, 4), t(rng, 2, 4, 4), t(rng, 3, 5, 4)
+        build = lambda: _collab_scores(center, matrix, neighbors)
+        return build, [center, matrix, neighbors]
+
+    @pytest.mark.parametrize("op", ["guided", "collab"])
+    def test_second_backward_matches_fresh_graph(self, rng, op):
+        build, inputs = getattr(self, f"_{op}")(rng)
+
+        def grads_of(out, seed):
+            for x in inputs:
+                x.zero_grad()
+            out.backward(seed)
+            return [x.grad.copy() for x in inputs]
+
+        retained = build()
+        seeds = [rng.normal(size=retained.shape) for _ in range(2)]
+        repeated = [grads_of(retained, seed) for seed in seeds]
+        for seed, got in zip(seeds, repeated):
+            fresh = grads_of(build(), seed)
+            for a, b in zip(got, fresh):
+                assert np.array_equal(a, b)
 
 
 class TestCompiledGradients:

@@ -78,6 +78,23 @@ class TestCacheRoundTrip:
         b = harness._cache_path("music")
         assert a != b
 
+    def test_changed_source_misses_cache(self, monkeypatch, tmp_path):
+        src = tmp_path / "src"
+        (src / "pkg").mkdir(parents=True)
+        module = src / "pkg" / "kernel.py"
+        module.write_text("X = 1\n")
+        monkeypatch.setattr(harness, "SRC_DIR", src)
+        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path / "results")
+        before = harness._cache_path("music")
+        result = ComparisonResult(dataset="music")
+        result.trials.append(TrialRecord("M", 0, {"auc": 0.7}, 1.5, 3, 10.0))
+        harness._store_cache(before, result)
+        assert harness._load_cached(harness._cache_path("music")) is not None
+        module.write_text("X = 2\n")
+        after = harness._cache_path("music")
+        assert after != before
+        assert harness._load_cached(after) is None
+
 
 class TestFormatHelpers:
     def test_pct(self):

@@ -349,6 +349,112 @@ class TestSparseOptimizerEquivalence:
                 assert np.array_equal(a, b)
 
 
+class TestGuidedAttentionFollowsTheBatch:
+    """The fused guided-attention kernel projects only the batch's unique
+    (tail, relation) pairs and reads their tails through ``gather_rows``:
+    its memory follows the edges, not the catalogue, and the entity table
+    keeps a row-sparse gradient (so sparse Adam never demotes it)."""
+
+    @pytest.fixture(scope="class")
+    def movie_fits(self):
+        from repro.core import paper_config
+
+        ds = generate_profile("movie", seed=0)
+        fits = {}
+        for sparse_updates in (False, True):
+            model = CGKGR(ds, paper_config("movie"), seed=0)
+            trainer = Trainer(
+                model,
+                TrainerConfig(
+                    epochs=2, eval_task="topk", eval_max_users=20, seed=0,
+                    sparse_updates=sparse_updates,
+                ),
+            )
+            weight = model.entity_embedding.weight
+            dense_flags = []
+            step = trainer.optimizer.step
+
+            def watched_step(step=step, weight=weight, flags=dense_flags):
+                flags.append(weight._saw_dense_grad)
+                step()
+
+            trainer.optimizer.step = watched_step
+            trainer.fit()
+            fits[sparse_updates] = (model, trainer, dense_flags)
+        return fits
+
+    def test_entity_table_never_demoted(self, movie_fits):
+        model, trainer, dense_flags = movie_fits[True]
+        weight = model.entity_embedding.weight
+        assert dense_flags and not any(dense_flags)
+        assert id(weight) in trainer.optimizer._last
+        assert weight._refresh_hook is not None
+
+    def test_sparse_and_dense_fits_bit_identical(self, movie_fits):
+        sparse_model = movie_fits[True][0]
+        dense_model = movie_fits[False][0]
+        for a, b in zip(sparse_model.parameters(), dense_model.parameters()):
+            assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("size,n_keys", [(64, 40), (64, 256), (64, 257), (50, 10_000)])
+    def test_unique_keys_matches_np_unique(self, size, n_keys):
+        from repro.core.attention import _unique_keys
+
+        key = np.random.default_rng(size + n_keys).integers(0, n_keys, size)
+        uniq, inverse = _unique_keys(key, n_keys)
+        want_uniq, want_inverse = np.unique(key, return_inverse=True)
+        assert np.array_equal(uniq, want_uniq)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+
+    def test_fused_op_allocations_follow_the_batch(self):
+        """One forward + backward on a 200,000-row table allocates nothing
+        larger than edges × H·d.  The table's own (N, d) gradient comes
+        from the gather_rows adjoint, which is the contract of every
+        embedding lookup, so the backward is measured on the fused op."""
+        import tracemalloc
+
+        from repro.autograd import Tensor, ops
+        from repro.autograd.nn import Parameter
+        from repro.core.attention import KnowledgeAwareAttention
+
+        rng = np.random.default_rng(0)
+        n_entities, n_relations, heads, dim = 200_000, 8, 2, 4
+        batch, width, k = 16, 4, 4
+        edges = batch * width * k
+        limit = edges * heads * dim  # elements
+        table = Parameter(rng.normal(size=(n_entities, dim)))
+        head = Tensor(rng.normal(size=(batch, width, dim)), requires_grad=True)
+        guidance = Tensor(rng.normal(size=(batch, dim)), requires_grad=True)
+        attn = KnowledgeAwareAttention(dim, heads, n_relations, rng)
+        entities = rng.integers(0, n_entities, size=(batch, width * k))
+        rels = rng.integers(0, n_relations, size=(batch, width * k))
+        seed = rng.normal(size=(batch, heads, width, k))
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tails = ops.gather_rows(table, entities)
+            out = attn.scores_fused(head, guidance, tails, entities, rels, k)
+            fwd_peak = tracemalloc.get_traced_memory()[1] - base
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = [fn(seed) for fn in out._backward_fns]
+            bwd_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+        for node in out._topological_order():
+            if node._parents:
+                assert node.data.size <= limit, node._op
+        assert all(g.size <= limit for g in grads)
+        # A few edge-sized float64 arrays (about 5 measured); the old
+        # full-table projection alone held N·R·H·d = 12.8M elements.
+        budget = 16 * limit * 8
+        assert fwd_peak <= budget
+        assert bwd_peak <= budget
+
+
 # ----------------------------------------------------------------------
 # Tentpole: loop-vs-vectorized metric parity through the run registry
 # ----------------------------------------------------------------------
