@@ -138,6 +138,9 @@ class Optimizer:
         #: Pre-reduced sparse gradients registered via :meth:`set_row_grad`,
         #: consumed (and cleared) by the next :meth:`step`.
         self._pending_rows: Dict[int, RowGrad] = {}
+        #: The step through which :meth:`flush` brought every row current;
+        #: until the next step, read hooks have nothing to catch up.
+        self._flushed_at = 0
         if self.sparse:
             for p in self.params:
                 if p.data.ndim == 2:
@@ -166,7 +169,7 @@ class Optimizer:
     def _refresh(self, p: Parameter, idx) -> None:
         """``gather_rows`` read hook: apply deferred updates to ``idx``."""
         target = self._t
-        if target == 0:
+        if target == self._flushed_at:
             return
         last = self._last[id(p)]
         rows = np.unique(np.asarray(idx, dtype=np.int64).ravel())
@@ -198,6 +201,7 @@ class Optimizer:
             if rows.size:
                 self._replay(p, rows, last[rows], self._t)
                 last[rows] = self._t
+        self._flushed_at = self._t
 
     def set_row_grad(self, p: Parameter, rows: np.ndarray, vals: np.ndarray) -> None:
         """Register a pre-reduced sparse row-gradient for the next step.

@@ -299,6 +299,36 @@ class TestSparseOptimizerEquivalence:
         for a, b in zip(reads[False], reads[True]):
             assert np.array_equal(a, b)
 
+    def test_reads_after_flush_skip_catch_up_until_next_step(self, monkeypatch):
+        # Between a flush and the next step every row is current, so reads
+        # (an evaluation pass) do no catch-up work; after further steps the
+        # read hook catches stale rows up again, still bit-exact.
+        from repro.autograd import ops
+
+        def train(opt, table, plans, offset):
+            for step, rows in enumerate(plans):
+                loss = _toy_step(table, rows, offset + step)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+
+        results = {}
+        for sparse in (False, True):
+            table = _make_embedding_toy(3)
+            opt = Adam([table], lr=0.02, weight_decay=1e-3, sparse=sparse)
+            train(opt, table, [[0, 1], [2], [5, 6]], 0)
+            opt.flush()
+            with monkeypatch.context() as patch, no_grad():
+                # Any look at the per-row step bookkeeping would fail.
+                patch.setattr(opt, "_last", {})
+                after_flush = ops.gather_rows(table, np.arange(12)).numpy().copy()
+            train(opt, table, [[3], [0]], 3)
+            with no_grad():
+                after_steps = ops.gather_rows(table, np.arange(12)).numpy().copy()
+            results[sparse] = (after_flush, after_steps)
+        for a, b in zip(results[False], results[True]):
+            assert np.array_equal(a, b)
+
     def test_dense_grad_demotes_parameter(self):
         # A 2-D parameter used through a matmul must fall back to the
         # dense path — and still match it exactly.
