@@ -172,10 +172,12 @@ class Optimizer:
         if target == self._flushed_at:
             return
         last = self._last[id(p)]
-        rows = np.unique(np.asarray(idx, dtype=np.int64).ravel())
-        behind = last[rows] < target
+        ids = np.asarray(idx, dtype=np.int64).ravel()
+        behind = last[ids] < target
         if behind.any():
-            stale = rows[behind]
+            # Sort only the stale ids: most rows of a training gather were
+            # stepped last step and are already current.
+            stale = np.unique(ids[behind])
             self._replay(p, stale, last[stale], target)
             last[stale] = target
 

@@ -43,18 +43,19 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.baselines import make_baseline
-from repro.core import CGKGR, paper_config
-from repro.data import PROFILES, generate_profile, load_dataset_dir
-from repro.data.loaders import save_interactions_file, save_kg_file
-from repro.eval import evaluate_ctr, evaluate_topk
-from repro.training import Trainer, TrainerConfig, run_comparison
-from repro.utils import format_table
+from repro.data.synthetic import PROFILES
+
+# Each command imports what it runs inside its ``cmd_*`` function, so a
+# process loads only its own command's stack: ``prep`` and ``serve``
+# never import the training or evaluation code (docs/serving.md,
+# "Start-up cost").
 
 CGKGR_NAMES = ("cg-kgr", "cgkgr")
 
 
 def _load_dataset(args) -> "RecDataset":
+    from repro.data import generate_profile, load_dataset_dir
+
     if getattr(args, "data_dir", None):
         return load_dataset_dir(args.data_dir, split_seed=args.seed)
     return generate_profile(args.dataset, seed=args.seed, scale=args.scale)
@@ -63,12 +64,19 @@ def _load_dataset(args) -> "RecDataset":
 def _make_model(name: str, dataset, seed: int):
     key = name.lower()
     if key in CGKGR_NAMES:
+        from repro.core import CGKGR, paper_config
+
         preset = dataset.name if dataset.name in PROFILES else "book"
         return CGKGR(dataset, paper_config(preset), seed=seed)
+    from repro.baselines import make_baseline
+
     return make_baseline(key, dataset, seed=seed)
 
 
 def cmd_datasets(args) -> int:
+    from repro.data import generate_profile
+    from repro.utils import format_table
+
     rows = []
     for name in PROFILES:
         summary = generate_profile(name, seed=0).summary()
@@ -89,13 +97,15 @@ def cmd_datasets(args) -> int:
 def cmd_generate(args) -> int:
     import os
 
+    from repro.data import generate_profile
+    from repro.data.loaders import save_interactions_file, save_kg_file
+    from repro.graph import InteractionGraph
+
     dataset = generate_profile(args.dataset, seed=args.seed, scale=args.scale)
     os.makedirs(args.out, exist_ok=True)
     pairs = np.concatenate(
         [dataset.train.pairs(), dataset.valid.pairs(), dataset.test.pairs()]
     )
-    from repro.graph import InteractionGraph
-
     everything = InteractionGraph(pairs, dataset.n_users, dataset.n_items)
     save_interactions_file(os.path.join(args.out, "ratings_final.txt"), everything)
     save_kg_file(os.path.join(args.out, "kg_final.txt"), dataset.kg)
@@ -212,6 +222,9 @@ def _report_recorded_run(trainer) -> None:
 
 
 def cmd_train(args) -> int:
+    from repro.eval import evaluate_ctr, evaluate_topk
+    from repro.training import Trainer, TrainerConfig
+
     dataset = _load_dataset(args)
     model = _make_model(args.model, dataset, args.seed)
     print(f"training {model.name} on {dataset.name}: {dataset.summary()}")
@@ -279,6 +292,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.training import TrainerConfig, run_comparison
+    from repro.utils import format_table
+
     names = [n.strip() for n in args.models.split(",") if n.strip()]
     factories = {
         name: (lambda ds, seed, n=name: _make_model(n, ds, seed)) for name in names
@@ -355,6 +371,7 @@ def _report_ann_index(index) -> None:
 
 def cmd_export(args) -> int:
     from repro.serve import save_checkpoint
+    from repro.training import Trainer, TrainerConfig
 
     dataset = _load_dataset(args)
     model = _make_model(args.model, dataset, args.seed)

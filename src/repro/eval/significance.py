@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy import stats
 
 
 def wilcoxon_improvement(
@@ -36,6 +35,9 @@ def wilcoxon_improvement(
     differences = candidate - reference
     if np.allclose(differences, 0.0):
         return {"p_value": 1.0, "significant": False, "mean_improvement": 0.0}
+    # scipy.stats costs ~1 s and ~50 MB to import; only this test uses it.
+    from scipy import stats
+
     result = stats.wilcoxon(candidate, reference, alternative="greater")
     return {
         "p_value": float(result.pvalue),

@@ -71,6 +71,10 @@ class RecommendationServer(ThreadingHTTPServer):
     """HTTP server owning an engine, its metrics, SLOs, and a batcher."""
 
     daemon_threads = True
+    #: listen() backlog.  socketserver's default of 5 overflows as soon as
+    #: more clients connect at once than that (HTTP/1.0 opens a connection
+    #: per request), and each overflowed SYN waits out a ~1 s retransmit.
+    request_queue_size = 128
 
     def __init__(
         self,

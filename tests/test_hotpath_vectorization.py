@@ -329,6 +329,47 @@ class TestSparseOptimizerEquivalence:
         for a, b in zip(results[False], results[True]):
             assert np.array_equal(a, b)
 
+    def test_refresh_replays_sorted_unique_stale_rows(self, monkeypatch):
+        # A training gather repeats ids and mixes rows stepped last step
+        # (current) with rows left behind for several steps (stale).  The
+        # read hook replays exactly the sorted unique stale rows, once, and
+        # the lazy path stays bit-identical to dense.
+        plans = [[0, 1, 2, 3], [4], [5, 2], [2, 2, 7]]
+        gather = [7, 0, 2, 7, 9, 0, 3, 2, 9, 11]
+        results = {}
+        for sparse in (False, True):
+            table = _make_embedding_toy(4)
+            opt = Adam([table], lr=0.02, weight_decay=1e-3, sparse=sparse)
+            for step, rows in enumerate(plans):
+                loss = _toy_step(table, rows, step)
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+            replayed = []
+            real_replay = opt._replay
+
+            def spy(p, rows, last_rows, target):
+                replayed.append((rows.copy(), last_rows.copy(), target))
+                real_replay(p, rows, last_rows, target)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(opt, "_replay", spy)
+                loss = _toy_step(table, gather, len(plans))
+            if sparse:
+                assert len(replayed) == 1
+                rows, last_rows, target = replayed[0]
+                assert rows.tolist() == [0, 3, 9, 11]
+                assert last_rows.tolist() == [1, 1, 0, 0]
+                assert target == len(plans)
+            else:
+                assert replayed == []
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            opt.flush()
+            results[sparse] = table.data.copy()
+        assert np.array_equal(results[False], results[True])
+
     def test_dense_grad_demotes_parameter(self):
         # A 2-D parameter used through a matmul must fall back to the
         # dense path — and still match it exactly.

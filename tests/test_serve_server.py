@@ -299,6 +299,14 @@ class TestMetricsRegistry:
             LatencyHistogram().observe(-1.0)
 
 
+def test_listen_backlog_absorbs_concurrent_connects():
+    # socketserver's default backlog of 5 drops the SYNs of a concurrent
+    # burst, and each dropped connect waits out a ~1 s retransmit.
+    from repro.serve import RecommendationServer
+
+    assert RecommendationServer.request_queue_size >= 64
+
+
 def test_serve_cli_parser_wiring():
     from repro.cli import build_parser
 
