@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.baselines.base import Recommender
 from repro.data.dataset import RecDataset
-from repro.eval.ranking import ndcg_at_k, rank_items, recall_at_k
 
 
 @dataclass
@@ -51,6 +50,10 @@ def recall_by_history_size(
     buckets: Dict[str, Tuple[int, int]] | None = None,
 ) -> UserBucketReport:
     """Recall@k / NDCG@k per training-history bucket of test users."""
+    # Imported here: ``repro.obs`` (loaded by every server) reaches this
+    # package through its attention hooks and has no use for ``repro.eval``.
+    from repro.eval.ranking import ndcg_at_k, rank_items, recall_at_k
+
     buckets = dict(buckets or DEFAULT_BUCKETS)
     report = UserBucketReport(buckets=buckets)
     per_bucket_recall: Dict[str, List[float]] = {label: [] for label in buckets}

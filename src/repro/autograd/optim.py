@@ -175,8 +175,12 @@ class Optimizer:
         ids = np.asarray(idx, dtype=np.int64).ravel()
         behind = last[ids] < target
         if behind.any():
-            # Sort only the stale ids: most rows of a training gather were
-            # stepped last step and are already current.
+            # Sort only the stale ids, not every gathered id.  The stale
+            # share follows the catalogue: on perfbench train-movie 97% of
+            # entity-table calls find no stale id; on train-widekg about
+            # half the gathered entity ids are stale, and sorting that
+            # half still beats sorting all of them (median 186 -> 87 us per
+            # call on a 2-core VM).
             stale = np.unique(ids[behind])
             self._replay(p, stale, last[stale], target)
             last[stale] = target

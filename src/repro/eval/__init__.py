@@ -1,9 +1,6 @@
 """Evaluation: ranking metrics and Top-K protocol (Recall@K, NDCG@K),
 CTR metrics and protocol (AUC, F1), and Wilcoxon significance testing —
 the exact measurement stack behind Tables IV-XI and Figures 1/4/6.
-
-The significance tests load on first access: serving imports
-:mod:`repro.eval.ranking` for its mask table and has no use for them.
 """
 
 from repro.eval.ranking import (
@@ -16,6 +13,7 @@ from repro.eval.ranking import (
     recall_at_k,
 )
 from repro.eval.ctr import auc_score, evaluate_ctr, f1_score
+from repro.eval.significance import bootstrap_mean_diff, wilcoxon_improvement
 
 __all__ = [
     "recall_at_k",
@@ -31,11 +29,3 @@ __all__ = [
     "wilcoxon_improvement",
     "bootstrap_mean_diff",
 ]
-
-
-def __getattr__(name):
-    if name in ("wilcoxon_improvement", "bootstrap_mean_diff"):
-        from repro.eval import significance
-
-        return getattr(significance, name)
-    raise AttributeError(f"module 'repro.eval' has no attribute {name!r}")

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.baselines.base import Recommender
-from repro.graph.interactions import InteractionGraph
+from repro.graph.interactions import InteractionGraph, build_mask_table
 
 
 def _check_metric_args(metric: str, relevant: Set[int], k: int) -> None:
@@ -83,40 +83,6 @@ def rank_items(
         if masked.size:
             scores[masked] = -np.inf
     return np.argsort(-scores, kind="stable")
-
-
-def build_mask_table(
-    mask_splits: Sequence[InteractionGraph], n_users: int
-) -> List[np.ndarray]:
-    """Per-user sorted arrays of items to exclude from ranking candidates.
-
-    One pass over the mask splits (train, and optionally validation) yields
-    an index array per user that :func:`rank_items` and the serving index
-    (:mod:`repro.serve.index`) apply directly — the two consumers share one
-    masking code path, so evaluation and serving cannot drift apart.
-
-    Built by one lexsort over the concatenated splits (sorted-unique per
-    user by construction); the result is reusable across eval epochs —
-    pass it to :func:`evaluate_topk` via ``mask_table`` to avoid
-    rebuilding (the :class:`~repro.training.trainer.Trainer` caches it).
-    """
-    users = np.concatenate(
-        [np.asarray(split.users, dtype=np.int64) for split in mask_splits]
-    )
-    items = np.concatenate(
-        [np.asarray(split.items, dtype=np.int64) for split in mask_splits]
-    )
-    if not len(users):
-        return [np.empty(0, dtype=np.int64) for _ in range(n_users)]
-    order = np.lexsort((items, users))
-    users, items = users[order], items[order]
-    # Drop consecutive duplicates so each user's slice is sorted-unique.
-    keep = np.ones(len(users), dtype=bool)
-    keep[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
-    users, items = users[keep], items[keep]
-    offsets = np.zeros(n_users + 1, dtype=np.int64)
-    np.cumsum(np.bincount(users, minlength=n_users), out=offsets[1:])
-    return [items[offsets[u] : offsets[u + 1]] for u in range(n_users)]
 
 
 def evaluate_topk(

@@ -82,3 +82,40 @@ class InteractionGraph:
             f"InteractionGraph(users={self.n_users}, items={self.n_items}, "
             f"interactions={self.n_interactions})"
         )
+
+
+def build_mask_table(
+    mask_splits: Sequence[InteractionGraph], n_users: int
+) -> List[np.ndarray]:
+    """Per-user sorted arrays of items to exclude from ranking candidates.
+
+    One pass over the mask splits (train, and optionally validation) yields
+    an index array per user that :func:`repro.eval.ranking.rank_items` and
+    the serving index (:mod:`repro.serve.index`) apply directly — the two
+    consumers share one masking code path, so evaluation and serving
+    cannot drift apart.  It lives here, beside the splits it reads, so a
+    serving process needs no part of :mod:`repro.eval`.
+
+    Built by one lexsort over the concatenated splits (sorted-unique per
+    user by construction); the result is reusable across eval epochs —
+    pass it to :func:`repro.eval.ranking.evaluate_topk` via
+    ``mask_table`` to avoid rebuilding (the
+    :class:`~repro.training.trainer.Trainer` caches it).
+    """
+    users = np.concatenate(
+        [np.asarray(split.users, dtype=np.int64) for split in mask_splits]
+    )
+    items = np.concatenate(
+        [np.asarray(split.items, dtype=np.int64) for split in mask_splits]
+    )
+    if not len(users):
+        return [np.empty(0, dtype=np.int64) for _ in range(n_users)]
+    order = np.lexsort((items, users))
+    users, items = users[order], items[order]
+    # Drop consecutive duplicates so each user's slice is sorted-unique.
+    keep = np.ones(len(users), dtype=bool)
+    keep[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    users, items = users[keep], items[keep]
+    offsets = np.zeros(n_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(users, minlength=n_users), out=offsets[1:])
+    return [items[offsets[u] : offsets[u + 1]] for u in range(n_users)]

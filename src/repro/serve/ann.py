@@ -39,8 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.base import Recommender
-from repro.eval.ranking import build_mask_table
-from repro.graph.interactions import InteractionGraph
+from repro.graph.interactions import InteractionGraph, build_mask_table
 from repro.obs.events import default_tracer
 from repro.obs.serving import current_request
 from repro.serve.index import TopKIndex, topk_from_scores

@@ -13,7 +13,7 @@ time. Two build modes, picked automatically:
   build cost equals one full evaluation sweep, queries are row lookups.
 
 Either way the query path is: score row → per-user seen-item mask
-(shared with :func:`repro.eval.ranking.build_mask_table`, so serving and
+(shared with :func:`repro.graph.interactions.build_mask_table`, so serving and
 evaluation mask identically) → ``np.argpartition`` top-K with the same
 tie-breaking as the brute-force protocol (descending score, ascending
 item id). Top-K equality with :func:`evaluate_topk` is test-enforced.
@@ -33,8 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.base import Recommender
-from repro.eval.ranking import build_mask_table
-from repro.graph.interactions import InteractionGraph
+from repro.graph.interactions import InteractionGraph, build_mask_table
 
 
 def topk_from_scores(

@@ -23,7 +23,7 @@ import repro
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 #: Never loaded by a process that neither trains nor runs ``compare``.
-HEAVY = ("scipy.stats", "scipy.sparse", "repro.training", "repro.eval.significance")
+HEAVY = ("scipy.stats", "scipy.sparse", "repro.training", "repro.eval")
 
 
 def _run(code: str, cwd=None) -> dict:
