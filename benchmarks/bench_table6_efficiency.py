@@ -28,15 +28,12 @@ def time_per_epoch(dataset, factory) -> float:
     from repro.training import Trainer
 
     trainer = Trainer(factory(dataset, 0), harness.trainer_config(seed=0))
-    try:
-        trainer.train_epoch(1)
-        times = []
-        for epoch in range(2, 2 + N_TIMED_EPOCHS):
-            tick = time.perf_counter()
-            trainer.train_epoch(epoch)
-            times.append(time.perf_counter() - tick)
-    finally:
-        trainer.close()
+    trainer.train_epoch(1)
+    times = []
+    for epoch in range(2, 2 + N_TIMED_EPOCHS):
+        tick = time.perf_counter()
+        trainer.train_epoch(epoch)
+        times.append(time.perf_counter() - tick)
     return float(np.median(times))
 
 

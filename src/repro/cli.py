@@ -242,8 +242,6 @@ def cmd_train(args) -> int:
             objective=args.objective,
             verbose=args.verbose,
             seed=args.seed,
-            num_workers=args.workers,
-            compile_epoch=args.compile_epoch,
             tracer=tracer,
             track_memory=args.track_memory or bool(args.timeline),
             run_store=_make_run_store(args),
@@ -253,16 +251,6 @@ def cmd_train(args) -> int:
     _maybe_write_timeline(args, tracer)
     _close_tracer(tracer)
     _report_recorded_run(trainer)
-    if args.compile_epoch:
-        cs = trainer.compile_summary or {}
-        if "replayed" in cs:
-            print(
-                f"compile: {cs['replayed']} replayed / {cs['recorded']} "
-                f"recorded batch(es), {cs['diverged']} divergence(s), "
-                f"arena {cs['arena_bytes'] / 1048576:.1f} MiB"
-            )
-        else:
-            print("compile: enabled (per-worker compilers in process mode)")
     mem_summary = getattr(trainer, "_memory_summary", None)
     if mem_summary:
         print(
@@ -311,8 +299,6 @@ def cmd_compare(args) -> int:
             eval_k=args.k,
             eval_max_users=args.eval_users,
             objective=args.objective,
-            num_workers=args.workers,
-            compile_epoch=args.compile_epoch,
         ),
         topk_values=(args.k,),
         eval_ctr_too=True,
@@ -390,8 +376,6 @@ def cmd_export(args) -> int:
             objective=args.objective,
             verbose=args.verbose,
             seed=args.seed,
-            num_workers=args.workers,
-            compile_epoch=args.compile_epoch,
             tracer=tracer,
             track_memory=args.track_memory or bool(args.timeline),
             run_store=_make_run_store(args),
@@ -452,32 +436,26 @@ def cmd_serve(args) -> int:
     manifest = read_manifest(args.checkpoint)
     print(f"loading {manifest['model_name']} checkpoint from {args.checkpoint}")
     ann_params = _ann_params(args) if args.index_mode == "ann" else None
+    dataset = users = None
+    spec = manifest.get("dataset_spec")
+    if spec and args.index_users and args.index_users < manifest["dataset"]["n_users"]:
+        # Index only the most active training users (sliced from the
+        # saved index when it holds them); the engine falls back to
+        # on-the-fly model scoring for everyone else.
+        from repro.serve.checkpoint import dataset_from_spec
+
+        dataset = dataset_from_spec(spec)
+        degree = np.bincount(dataset.train.users, minlength=dataset.n_users)
+        users = np.argsort(-degree, kind="stable")[: args.index_users]
     engine = engine_from_checkpoint(
         args.checkpoint,
+        dataset=dataset,
+        users=users,
         mode=args.index_mode,
         cache_size=args.cache_size,
         ann_params=ann_params,
         use_saved_index=not args.rebuild_index,
     )
-    if args.index_users and args.index_users < engine.index.n_users:
-        # Re-index only the most active training users; the engine falls
-        # back to on-the-fly model scoring for everyone else.
-        train = engine.model.dataset.train
-        degree = np.zeros(train.n_users, dtype=np.int64)
-        np.add.at(degree, train.users, 1)
-        users = np.argsort(-degree, kind="stable")[: args.index_users]
-        from repro.serve import ServingEngine, TopKIndex
-
-        index = TopKIndex.build(
-            engine.model,
-            users=users,
-            mask_splits=[engine.model.dataset.train, engine.model.dataset.valid],
-            mode=args.index_mode,
-            ann_params=ann_params,
-        )
-        engine = ServingEngine(
-            index, model=engine.model, cache_size=args.cache_size
-        )
     _report_ann_index(engine.index)
     tracer = _make_tracer(args)
     server = create_server(
@@ -532,28 +510,12 @@ def cmd_profile(args) -> int:
     batch_size = min(model.batch_size, len(users))
     order = rng.permutation(len(users))
 
-    compiler = None
-    if args.compile_epoch:
-        from repro.autograd.compile import EpochCompiler
-
-        compiler = EpochCompiler()
-
     def one_step(step: int) -> None:
         lo = (step * batch_size) % max(1, len(users) - batch_size + 1)
         batch = order[lo : lo + batch_size]
-
-        def unit() -> None:
-            loss = model.training_loss(users[batch], pos_items[batch], negatives[batch])
-            optimizer.zero_grad()
-            loss.backward()
-
-        if compiler is not None:
-            # Forward + backward replay through the trace; optimizer.step
-            # stays outside the unit (it mutates parameters in place and is
-            # profiled separately via prof.patch below).
-            compiler.run(("batch", len(batch)), unit, rng=model.rng)
-        else:
-            unit()
+        loss = model.training_loss(users[batch], pos_items[batch], negatives[batch])
+        optimizer.zero_grad()
+        loss.backward()
         optimizer.step()
 
     tracer = _make_tracer(args)
@@ -584,14 +546,6 @@ def cmd_profile(args) -> int:
             mem.stop()
     report = prof.report()
     print(report.render())
-    if compiler is not None:
-        cs = compiler.summary()
-        print(
-            f"compile: {cs['replayed']} replayed / {cs['recorded']} recorded "
-            f"batch(es), {cs['diverged']} divergence(s), "
-            f"arena {cs['arena_bytes'] / 1048576:.1f} MiB "
-            f"across {cs['n_steps']} traced op(s)"
-        )
     if mem is not None:
         summary = mem.summary()
         print(
@@ -875,18 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(the KGAT/RecBole recipe; see docs/training.md)",
     )
     train_common.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="data-parallel training workers (0 = classic single-process "
-        "loop; >=1 uses the deterministic sharded engine, bit-identical "
-        "for any N — see docs/training.md)",
-    )
-    train_common.add_argument(
-        "--compile", dest="compile_epoch", action="store_true",
-        help="trace each batch shape once and replay it through "
-        "preallocated out= kernels — bit-identical to eager "
-        "(docs/autograd.md, 'Epoch compilation')",
-    )
-    train_common.add_argument(
         "--trace", "--log-jsonl", dest="trace", metavar="PATH", default=None,
         help="write obs span/event telemetry as JSONL to PATH",
     )
@@ -1006,11 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--objective", default="ce", choices=["ce", "bpr"],
         help="profile the 'ce' or 'bpr' training objective",
-    )
-    p.add_argument(
-        "--compile", dest="compile_epoch", action="store_true",
-        help="profile compiled replay instead of eager dispatch "
-        "(records on the warm-up step; docs/autograd.md)",
     )
     p.set_defaults(func=cmd_profile)
 

@@ -2,11 +2,10 @@
 
 One :class:`Tracer` per run emits a flat stream of events — point events,
 ``span_start``/``span_end`` pairs, retrospective ``complete`` intervals
-(:meth:`Tracer.complete`, used for per-op profiler slices and worker
+(:meth:`Tracer.complete`, used for per-op profiler slices and training
 phases), and ``counter`` samples (:meth:`Tracer.counter`, used for memory
 tracks) — each carrying the run id, wall clock, a monotonic timestamp,
-and the emitting ``pid``/``tid`` (overridable when re-emitting events
-collected from worker processes).  Everything is optionally mirrored to a
+and the emitting ``pid``/``tid``.  Everything is optionally mirrored to a
 JSONL file which ``repro obs timeline`` converts to Chrome trace-event
 JSON.  Spans nest per thread via a context-manager (or decorator) API:
 
@@ -244,9 +243,9 @@ class Tracer:
         Unlike a span there is no start/end pair: the interval already
         happened, so one record carries its wall start ``t0`` (defaulting
         to ``now - dur``) and duration in seconds.  The profiler uses this
-        for per-op slices; the parallel engine re-emits worker intervals
-        through it, passing the *worker's* ``pid``/``tid`` so the timeline
-        exporter keeps them on separate lanes.
+        for per-op slices and the trainer for its epoch phases.  ``pid`` /
+        ``tid`` override the emitting process/thread, which is the lane
+        the timeline exporter places the interval on.
         """
         current = self.current_span()
         self._emit(

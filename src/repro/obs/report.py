@@ -428,14 +428,14 @@ class AnatomyReport:
     """Phases of the traced epochs ranked by exclusive time and allocation.
 
     Built by :func:`epoch_anatomy` from raw Tracer events.  ``rows`` hold
-    one entry per (phase name, lane): call count, total and *exclusive*
+    one entry per phase name: call count, total and *exclusive*
     seconds (total minus time covered by nested child intervals — so the
     rows add up instead of double counting), share of epoch wall, and the
     bytes the memory tracker attributed to the same name (per-op
     allocation for op slices, per-phase allocation otherwise).
 
     ``wall_accounted_fraction`` is the fraction of summed epoch-span wall
-    time covered by leaf intervals on the epoch's own lane — gaps inside
+    time covered by leaf intervals nested in the epochs — gaps inside
     any phase (uninstrumented Python glue) count as unaccounted.
     ``alloc_accounted_fraction`` is the fraction of all allocated bytes
     that carry a per-op attribution.
@@ -468,7 +468,6 @@ class AnatomyReport:
             table_rows.append(
                 [
                     r["name"],
-                    r["lane"],
                     str(r["count"]),
                     f"{1000.0 * r['total_s']:.2f}",
                     f"{1000.0 * r['excl_s']:.2f}",
@@ -477,14 +476,14 @@ class AnatomyReport:
                 ]
             )
         table = format_table(
-            ["phase", "lane", "calls", "total ms", "excl ms", "% epoch", "alloc"],
+            ["phase", "calls", "total ms", "excl ms", "% epoch", "alloc"],
             table_rows,
             title=f"Epoch anatomy — {self.epochs} epoch(s), "
             f"{self.epoch_wall_s:.3f}s wall",
         )
         footer = (
             f"wall accounted: {100.0 * self.wall_accounted_fraction:.1f}% "
-            f"of epoch time on the driver lane"
+            f"of epoch time"
         )
         if self.alloc_accounted_fraction is not None:
             footer += (
@@ -510,7 +509,7 @@ class AnatomyReport:
             "<h1>Epoch anatomy</h1>",
             f"<p>{self.epochs} epoch(s), {self.epoch_wall_s:.3f}s wall; "
             f"accounted {100.0 * self.wall_accounted_fraction:.1f}% of epoch "
-            "time on the driver lane"
+            "time"
             + (
                 f"; {100.0 * self.alloc_accounted_fraction:.1f}% of allocation "
                 f"attributed (peak {_fmt_bytes(self.memory.get('peak_bytes'))})"
@@ -518,14 +517,13 @@ class AnatomyReport:
                 else ""
             )
             + "</p>",
-            "<table><tr><th>phase</th><th>lane</th><th>calls</th>"
+            "<table><tr><th>phase</th><th>calls</th>"
             "<th>total ms</th><th>excl ms</th><th>% epoch</th><th>alloc</th></tr>",
         ]
         for r in self.rows:
             share = 100.0 * r["excl_s"] / self.epoch_wall_s if self.epoch_wall_s else 0.0
             parts.append(
                 f"<tr><td>{html.escape(str(r['name']))}</td>"
-                f"<td>{html.escape(str(r['lane']))}</td>"
                 f"<td>{r['count']}</td>"
                 f"<td>{1000.0 * r['total_s']:.2f}</td>"
                 f"<td>{1000.0 * r['excl_s']:.2f}</td>"
@@ -550,11 +548,9 @@ def epoch_anatomy(
     """Distil raw Tracer events into an :class:`AnatomyReport`.
 
     Works on the same event stream ``repro obs timeline`` consumes: epoch
-    spans define the windows, every span/complete interval inside one is
-    a phase (worker-lane intervals are listed under their own lane but do
-    not enter the driver-lane wall accounting, since they run in
-    parallel), and the ``memory_summary`` event — or an explicitly passed
-    dict — supplies per-op allocation.
+    spans define the windows, every span/complete interval nested inside
+    one is a phase, and the ``memory_summary`` event — or an explicitly
+    passed dict — supplies per-op allocation.
     """
     from repro.obs.timeline import _collect, _nest
 
@@ -576,55 +572,24 @@ def epoch_anatomy(
     report.memory = dict(memory_summary or {})
 
     # Nest each lane, then find the epoch windows on whichever lane the
-    # trainer drove (fall back to parallel_epoch, then to lane roots).
-    forests = {lane: _nest(ivs) for lane, ivs in merged.items()}
-    all_nodes: Dict[Any, list] = {}
-    for lane, roots in forests.items():
-        nodes = []
+    # trainer drove (fall back to lane roots).
+    forests = [_nest(ivs) for ivs in merged.values()]
+    epoch_nodes = []
+    for roots in forests:
         stack = list(roots)
         while stack:
             node = stack.pop()
-            nodes.append(node)
-            stack.extend(node.children)
-        all_nodes[lane] = nodes
-
-    epoch_nodes = [
-        n for nodes in all_nodes.values() for n in nodes if n.name == "epoch"
-    ]
+            if node.name == "epoch":
+                epoch_nodes.append(node)
+            else:
+                stack.extend(node.children)
     if not epoch_nodes:
-        epoch_nodes = [
-            n
-            for nodes in all_nodes.values()
-            for n in nodes
-            if n.name == "parallel_epoch"
-        ]
-    if not epoch_nodes:
-        epoch_nodes = [r for roots in forests.values() for r in roots]
+        epoch_nodes = [r for roots in forests for r in roots]
     if not epoch_nodes:
         return report
 
-    epoch_lanes = {id(n): lane for lane, nodes in all_nodes.items() for n in nodes}
-    windows = [(n.t0, n.t1, epoch_lanes[id(n)]) for n in epoch_nodes]
     report.epochs = len(epoch_nodes)
     report.epoch_wall_s = sum(n.dur for n in epoch_nodes)
-
-    worker_by_pid: Dict[int, Any] = {}
-    for lane, nodes in all_nodes.items():
-        for n in nodes:
-            if "worker" in n.attrs:
-                worker_by_pid.setdefault(lane[0], n.attrs["worker"])
-    driver_pids = {lane[0] for _, _, lane in windows}
-
-    def lane_label(lane) -> str:
-        if lane[0] in driver_pids:
-            return "main"
-        if lane[0] in worker_by_pid:
-            return f"worker {worker_by_pid[lane[0]]}"
-        return f"pid {lane[0]}"
-
-    def in_window(node, lane) -> bool:
-        mid = 0.5 * (node.t0 + node.t1)
-        return any(t0 <= mid <= t1 for t0, t1, _ in windows)
 
     by_op = {
         name: entry.get("bytes", 0)
@@ -635,29 +600,14 @@ def epoch_anatomy(
         for name, entry in (report.memory.get("phases") or {}).items()
     }
 
-    grouped: Dict[Any, Dict[str, Any]] = {}
+    grouped: Dict[str, Dict[str, Any]] = {}
     unaccounted = 0.0
-
-    def add_row(node, label: str, exclusive: float) -> None:
-        key = (node.name, label)
-        row = grouped.get(key)
-        if row is None:
-            row = grouped[key] = {
-                "name": node.name,
-                "lane": label,
-                "count": 0,
-                "total_s": 0.0,
-                "excl_s": 0.0,
-            }
-        row["count"] += 1
-        row["total_s"] += node.dur
-        row["excl_s"] += exclusive
 
     def exclusive_of(node) -> float:
         return max(0.0, node.dur - sum(c.dur for c in node.children))
 
-    # Driver-lane phases: only descendants of the epoch nodes count, and
-    # every non-leaf's internal gap (uninstrumented glue) is unaccounted.
+    # Only descendants of the epoch nodes count, and every non-leaf's
+    # internal gap (uninstrumented glue) is unaccounted.
     for en in epoch_nodes:
         unaccounted += exclusive_of(en)
         stack = list(en.children)
@@ -667,18 +617,14 @@ def epoch_anatomy(
             exclusive = exclusive_of(node)
             if node.children:
                 unaccounted += exclusive
-            add_row(node, "main", exclusive)
-
-    # Worker lanes run concurrently with the driver: list them for
-    # attribution but keep them out of the driver-lane wall accounting.
-    for lane, nodes in all_nodes.items():
-        if lane[0] in driver_pids:
-            continue
-        label = lane_label(lane)
-        for node in nodes:
-            if not in_window(node, lane):
-                continue
-            add_row(node, label, exclusive_of(node))
+            row = grouped.get(node.name)
+            if row is None:
+                row = grouped[node.name] = {
+                    "name": node.name, "count": 0, "total_s": 0.0, "excl_s": 0.0,
+                }
+            row["count"] += 1
+            row["total_s"] += node.dur
+            row["excl_s"] += exclusive
 
     for row in grouped.values():
         alloc = by_op.get(row["name"])

@@ -176,11 +176,6 @@ class RunRecord:
     stopped_early: bool = False
     spans: Dict[str, Dict[str, float]] = field(default_factory=dict)
     anomalies: List[Dict[str, Any]] = field(default_factory=list)
-    #: Data-parallel engine accounting (mode, workers, shards, per-phase
-    #: wall breakdown, per-worker busy time) — empty for single-process
-    #: runs.  Older records simply lack the key; ``from_json`` tolerates
-    #: both directions.
-    parallel: Dict[str, Any] = field(default_factory=dict)
     #: :class:`~repro.obs.memory.MemoryTracker` summary (peak/live bytes,
     #: per-op allocation attribution, per-phase watermarks, epoch-boundary
     #: leak ledger) — empty unless the run tracked memory.  The scalar
@@ -213,6 +208,8 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "RunRecord":
+        # Fields this build no longer writes (e.g. ``parallel``, the
+        # accounting of the removed data-parallel engine) are dropped.
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in payload.items() if k in known})
 

@@ -6,17 +6,15 @@ directly in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
 
 * ``span_start``/``span_end`` pairs become matched ``B``/``E`` duration
   events, nested per ``(pid, tid)`` lane;
-* ``complete`` intervals (per-op profiler slices, worker phases) become
-  ``X`` complete events — worker events keep the pid/tid they were
-  recorded under, so every worker process gets its own lane;
+* ``complete`` intervals (per-op profiler slices, training phases)
+  become ``X`` complete events on the pid/tid they were recorded under;
 * ``counter`` samples become ``C`` events (the memory track);
 * point events become thread-scoped instants (``i``);
-* ``M`` metadata events name the lanes (``trainer (main)``,
-  ``worker N``).
+* ``M`` metadata events name the lanes (``trainer (main)`` for the
+  process that emitted spans, ``process <pid>`` otherwise).
 
-Timestamps are wall-clock microseconds relative to the earliest event,
-which is what makes cross-process lanes line up: every process stamps
-``time.time()`` of the same host.  :func:`validate_timeline` checks the
+Timestamps are wall-clock microseconds relative to the earliest event
+(``time.time()``), so lanes of several processes on one host line up.  :func:`validate_timeline` checks the
 emitted JSON against the Catapult schema rules the test-suite and CI
 gate on (required keys, known phases, per-lane monotonic ``ts``, matched
 ``B``/``E`` pairs, numeric counter args).
@@ -236,13 +234,7 @@ def build_timeline(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     for record in out:
         del record["_seq"]
 
-    # Lane naming: the pid that emitted spans is the driver process; any
-    # pid whose events carry a `worker` attr is that worker's lane.
-    worker_by_pid: Dict[int, Any] = {}
-    for lane, intervals in completes_by_lane.items():
-        for iv in intervals:
-            if "worker" in iv.attrs:
-                worker_by_pid.setdefault(lane[0], iv.attrs["worker"])
+    # Lane naming: the pid that emitted spans is the driver process.
     span_pids = {lane[0] for lane in spans_by_lane}
     meta: List[Dict[str, Any]] = []
     all_pids = sorted(
@@ -252,12 +244,7 @@ def build_timeline(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         | {_lane(i)[0] for i in instants}
     )
     for idx, pid in enumerate(all_pids):
-        if pid in worker_by_pid and pid not in span_pids:
-            label = f"worker {worker_by_pid[pid]}"
-        elif pid in span_pids:
-            label = "trainer (main)"
-        else:
-            label = f"process {pid}"
+        label = "trainer (main)" if pid in span_pids else f"process {pid}"
         meta.append(
             {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
              "args": {"name": label}}

@@ -57,8 +57,10 @@ def engine_from_checkpoint(
 
     A checkpoint exported with a prebuilt index (``repro export
     --index-mode ...`` writes ``index.npz`` next to the weights) boots
-    without rebuilding, when the saved index covers the request
-    (``users=None`` and a compatible ``mode``); ``use_saved_index=False``
+    without rebuilding when the saved index has a compatible ``mode``:
+    with ``users=None`` it is served whole, and an exact saved index
+    that holds every one of ``users`` is sliced to them
+    (:meth:`TopKIndex.subset`, no re-scoring).  ``use_saved_index=False``
     forces a rebuild. ``mode="ann"`` builds the approximate
     :class:`~repro.serve.ann.IVFIndex` with ``ann_params``
     (``nlist``/``nprobe``/``pq_m``/...).
@@ -68,12 +70,15 @@ def engine_from_checkpoint(
     model = load_checkpoint(path, dataset)
     index = None
     index_path = os.path.join(path, INDEX_FILE)
-    if use_saved_index and users is None and os.path.exists(index_path):
+    if use_saved_index and os.path.exists(index_path):
         from repro.serve.index import load_index
 
         saved = load_index(index_path)
         if mode in ("auto", saved.mode):
-            index = saved
+            if users is None:
+                index = saved
+            elif saved.mode != "ann" and all(saved.contains(u) for u in users):
+                index = saved.subset(users)
     if index is None:
         mask_splits = [model.dataset.train]
         if mask_valid:

@@ -181,6 +181,33 @@ class TopKIndex:
             block_size=block_size,
         )
 
+    def subset(self, users: Sequence[int]) -> "TopKIndex":
+        """The same index restricted to ``users`` (all already indexed).
+
+        Takes the users' rows of the stored score rows / user
+        representations and shares the item side and the mask table, so
+        nothing is re-scored: answers equal those of a fresh
+        :meth:`build` over ``users`` (the dense build scores each user on
+        its own, the factorized one slices the same user matrix).
+        """
+        user_ids = np.unique(np.asarray(users, dtype=np.int64))
+        if user_ids.size and (user_ids[0] < 0 or user_ids[-1] >= self.n_users):
+            raise ValueError("indexed user ids out of range")
+        rows = self._row_of[user_ids]
+        if (rows < 0).any():
+            raise KeyError(f"users not in index: {user_ids[rows < 0].tolist()}")
+        return TopKIndex(
+            user_ids,
+            self.n_users,
+            self.n_items,
+            self.mode,
+            self.mask_table,
+            user_reps=None if self._user_reps is None else self._user_reps[rows],
+            item_reps=self._item_reps,
+            score_rows=None if self._score_rows is None else self._score_rows[rows],
+            block_size=self.block_size,
+        )
+
     # ------------------------------------------------------------------
     @property
     def n_indexed_users(self) -> int:

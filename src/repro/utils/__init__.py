@@ -2,6 +2,6 @@
 harness and seeded RNG helpers."""
 
 from repro.utils.tables import format_series, format_table
-from repro.utils.rng import derive_rng, spawn_rngs
+from repro.utils.rng import spawn_rngs
 
-__all__ = ["format_table", "format_series", "spawn_rngs", "derive_rng"]
+__all__ = ["format_table", "format_series", "spawn_rngs"]

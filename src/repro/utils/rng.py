@@ -13,15 +13,3 @@ def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
     sequence = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in sequence.spawn(count)]
 
-
-def derive_rng(*keys: int) -> np.random.Generator:
-    """Generator derived from a tuple of integer keys.
-
-    The stream is a pure function of the key tuple — independent of
-    process, call order, and platform — so every process of a
-    data-parallel run can rebuild, say, the epoch-``e`` neighbor-sampling
-    stream as ``derive_rng(seed, STREAM_SAMPLER, e)`` and draw identical
-    values.  Distinct key tuples give statistically independent streams
-    (``np.random.SeedSequence`` entropy pooling).
-    """
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))

@@ -77,6 +77,31 @@ class TestRunStore:
         assert not report.regressed
         assert all(v.status == "ok" for v in report.verdicts)
 
+        # A record written while the trainer still had a data-parallel
+        # engine and an epoch compiler carries a `parallel` section and
+        # their config keys; it still loads and compares.
+        legacy = make_record(run_id="legacy-run").to_json()
+        legacy["created_at"] = 1.0
+        legacy["config"]["trainer"].update(
+            num_workers=2, grad_shards=4, compile_epoch=False
+        )
+        legacy["config_hash"] = config_hash(legacy["config"])
+        legacy["parallel"] = {
+            "mode": "process", "workers": 2, "shards": 4,
+            "phases": {"parallel.merge": 0.01}, "worker_peak_mem_bytes": 4096,
+        }
+        (store.root / "legacy-run.json").write_text(json.dumps(legacy))
+        with (store.root / "index.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"run_id": "legacy-run", "kind": "train"}) + "\n")
+        old = store.resolve("legacy-run")
+        assert old.config["trainer"]["num_workers"] == 2
+        assert "parallel" not in old.to_json()
+        assert not compare_runs(old, loaded).regressed
+        assert cli_main([
+            "runs", "compare", "legacy-run", record.run_id,
+            "--runs-dir", str(store.root),
+        ]) == 0
+
     def test_append_only(self, tmp_path):
         store = RunStore(tmp_path)
         record = make_record(run_id="fixed")

@@ -167,6 +167,67 @@ class TestIndexSerialization:
             TopKIndex.load(path)
 
 
+class TestSavedIndexSubset:
+    """Serving a subset of users slices the saved index instead of
+    re-scoring them through the model."""
+
+    @pytest.mark.parametrize("mode", ["factorized", "dense"])
+    def test_subset_topk_equals_fresh_build(self, trained_models, tiny_dataset, mode):
+        model = trained_models["bprmf" if mode == "factorized" else "cg-kgr"]
+        masks = [tiny_dataset.train, tiny_dataset.valid]
+        full = TopKIndex.build(model, mask_splits=masks, mode=mode)
+        users = [7, 0, 3, 3]
+        subset = full.subset(users)
+        fresh = TopKIndex.build(model, users=users, mask_splits=masks, mode=mode)
+        assert subset.mode == mode
+        np.testing.assert_array_equal(subset.user_ids, fresh.user_ids)
+        assert subset.contains(3) and not subset.contains(1)
+        query = [0, 3, 7]
+        items, scores = subset.topk(query, 10)
+        fresh_items, fresh_scores = fresh.topk(query, 10)
+        np.testing.assert_array_equal(items, fresh_items)
+        np.testing.assert_array_equal(scores, fresh_scores)
+        assert subset.memory_bytes() == fresh.memory_bytes()
+
+    def test_subset_rejects_users_outside_the_index(self, trained_models):
+        index = TopKIndex.build(trained_models["bprmf"], users=[0, 2, 4])
+        with pytest.raises(KeyError, match="not in index"):
+            index.subset([2, 3])
+        with pytest.raises(ValueError, match="out of range"):
+            index.subset([index.n_users])
+
+    def test_checkpoint_boot_slices_without_scoring(
+        self, trained_models, tiny_dataset, tmp_path, monkeypatch
+    ):
+        from repro.serve.checkpoint import save_checkpoint
+        from repro.serve.engine import engine_from_checkpoint
+
+        model = trained_models["cg-kgr"]
+        masks = [tiny_dataset.train, tiny_dataset.valid]
+        full = TopKIndex.build(model, mask_splits=masks, mode="dense")
+        save_checkpoint(model, str(tmp_path), index=full)
+        calls = []
+        real = CGKGR.score_all_items
+        monkeypatch.setattr(
+            CGKGR, "score_all_items",
+            lambda self, user: calls.append(user) or real(self, user),
+        )
+        users = [5, 1, 9]
+        engine = engine_from_checkpoint(str(tmp_path), dataset=tiny_dataset, users=users)
+        assert calls == []
+        assert engine.index.n_indexed_users == 3
+        items, scores = engine.index.topk([1, 5, 9], 10)
+        expected_items, expected_scores = full.topk([1, 5, 9], 10)
+        np.testing.assert_array_equal(items, expected_items)
+        np.testing.assert_array_equal(scores, expected_scores)
+        # Without a saved index (or with a rebuild forced) the users are
+        # scored through the model as before.
+        engine_from_checkpoint(
+            str(tmp_path), dataset=tiny_dataset, users=users, use_saved_index=False
+        )
+        assert sorted(calls) == [1, 5, 9]
+
+
 class TestServingEngine:
     def test_cache_hit_miss_counters(self, trained_models):
         engine = ServingEngine(

@@ -307,6 +307,37 @@ def test_listen_backlog_absorbs_concurrent_connects():
     assert RecommendationServer.request_queue_size >= 64
 
 
+def test_serve_index_users_boot_scores_no_user(tmp_path, monkeypatch, capsys):
+    """`repro serve --index-users N` on a checkpoint that ships the full
+    exact index slices the N users' rows out of it: boot makes no
+    `score_all_items` call."""
+    from repro.core import CGKGR, CGKGRConfig
+    from repro.data import generate_profile
+    from repro.serve import RecommendationServer, TopKIndex
+    from repro.serve.checkpoint import save_checkpoint
+
+    dataset = generate_profile("music", seed=0, scale=0.3)
+    model = CGKGR(dataset, CGKGRConfig(dim=8, depth=1, n_heads=2), seed=0)
+    index = TopKIndex.build(
+        model, mask_splits=[dataset.train, dataset.valid], mode="dense"
+    )
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(
+        model, ckpt, dataset_spec={"profile": "music", "seed": 0, "scale": 0.3},
+        index=index,
+    )
+    calls = []
+    real = CGKGR.score_all_items
+    monkeypatch.setattr(
+        CGKGR, "score_all_items",
+        lambda self, user: calls.append(user) or real(self, user),
+    )
+    monkeypatch.setattr(RecommendationServer, "serve_forever", lambda self, *a, **k: None)
+    assert main(["serve", "--checkpoint", ckpt, "--port", "0", "--index-users", "5"]) == 0
+    assert calls == []
+    assert f"serving 5/{dataset.n_users} users (dense index" in capsys.readouterr().out
+
+
 def test_serve_cli_parser_wiring():
     from repro.cli import build_parser
 
